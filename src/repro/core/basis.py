@@ -11,8 +11,9 @@ where ``H_0`` is the ambient (configuration-independent) response and
 ``E_n(f; m)`` is element ``n``'s two-hop TX → element → RX contribution in
 state ``m`` — blockage, distances, antenna gains and the waveguide-stub's
 delay dispersion folded in.  Geometry therefore needs to be traced exactly
-once: the ambient paths via :meth:`RayTracer.trace` plus one two-hop relay
-path per (element, state).  After that, *any* configuration's CFR is a
+once: the ambient paths via :meth:`RayTracer.trace` plus each element's
+two-hop relay geometry, folded with every state's reflection coefficient.
+After that, *any* configuration's CFR is a
 gather + sum over the precomputed state tensor, and the whole M^N sweep
 evaluates as a single vectorized numpy operation.
 
@@ -207,184 +208,21 @@ class ChannelBasis:
         num_subcarriers: int = NUM_SUBCARRIERS,
         bandwidth_hz: float = BANDWIDTH_HZ,
         environment_paths: Optional[Sequence[SignalPath]] = None,
+        element_chunk: int = 256,
+        memory_budget_bytes: Optional[int] = DEFAULT_STATE_TENSOR_BUDGET_BYTES,
     ) -> "ChannelBasis":
         """Trace the geometry once and build the basis.
 
         ``environment_paths`` lets a caller reuse already-traced ambient
         paths (e.g. the testbed's environment cache); when ``None`` the
         ambient multipath is traced here.
-        """
-        _BASES_TRACED.inc()
-        freqs = subcarrier_frequencies(num_subcarriers, bandwidth_hz)
-        if environment_paths is None:
-            environment_paths = tracer.trace(tx, rx, tx_antenna, rx_antenna)
-        gains, delays, _ = path_arrays(environment_paths)
-        space = array.configuration_space()
-        max_states = max(space.state_counts)
-        tensor = np.zeros(
-            (array.num_elements, max_states, num_subcarriers), dtype=complex
-        )
-        carrier = tracer.frequency_hz
-        for n, element in enumerate(array.elements):
-            for m, state in enumerate(element.states):
-                if state.is_terminated:
-                    continue
-                # Split Gamma(f) exactly as PressArray.element_paths does:
-                # magnitude + fixed phase -> reflectivity; the stub's
-                # carrier phase -> extra phase; its dispersion -> delay.
-                stub_carrier_phase = (
-                    -2.0 * math.pi * carrier * state.extra_path_m / SPEED_OF_LIGHT
-                )
-                reflectivity = state.magnitude * complex(
-                    math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
-                )
-                path = tracer.relay_path(
-                    tx,
-                    element.position,
-                    rx,
-                    tx_antenna=tx_antenna,
-                    rx_antenna=rx_antenna,
-                    relay_antenna_in=element.antenna,
-                    relay_antenna_out=element.antenna,
-                    reflectivity=reflectivity,
-                    extra_delay_s=state.extra_delay_s,
-                    extra_phase_rad=stub_carrier_phase,
-                    kind="press-element",
-                )
-                if path is None:
-                    continue
-                tensor[n, m] = path.gain * np.exp(
-                    -2.0j * np.pi * freqs * path.delay_s
-                )
-        return cls(
-            space=space,
-            frequencies_hz=freqs,
-            ambient_gains=gains,
-            ambient_delays=delays,
-            state_tensor=tensor,
-            num_subcarriers=num_subcarriers,
-            bandwidth_hz=bandwidth_hz,
-        )
 
-    @classmethod
-    def trace_batch(
-        cls,
-        array: PressArray,
-        tx: Point,
-        rx_points: Union[Sequence[Point], np.ndarray],
-        tracer: RayTracer,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-        num_subcarriers: int = NUM_SUBCARRIERS,
-        bandwidth_hz: float = BANDWIDTH_HZ,
-        ambient: Optional[PathBatch] = None,
-    ) -> list["ChannelBasis"]:
-        """One basis per receiver point, traced with the batched geometry.
-
-        The batched twin of :meth:`trace`, for position sweeps (coverage
-        maps, placement scans): ambient multipath comes from
-        :meth:`RayTracer.trace_batch`, and each element's two-hop geometry
-        — distances, blockage, antenna gains — is computed once for all P
-        points via :meth:`RayTracer.relay_geometry_batch`, then folded with
-        every state's reflectivity and stub phase.  Per-point results match
-        :meth:`trace` to machine precision (same op order throughout), so
-        ambient path counts — and therefore drift-draw counts — are
-        identical to the scalar route.
-
-        ``ambient`` lets a caller reuse an already-traced batch.
-        """
-        freqs = subcarrier_frequencies(num_subcarriers, bandwidth_hz)
-        if ambient is None:
-            ambient = tracer.trace_batch(tx, rx_points, tx_antenna, rx_antenna)
-        rx_x, rx_y = _points_to_arrays(rx_points)
-        num_points = ambient.num_points
-        _BATCHES_TRACED.inc()
-        _BATCH_POINTS.inc(num_points)
-        space = array.configuration_space()
-        max_states = max(space.state_counts)
-        tensors = np.zeros(
-            (num_points, array.num_elements, max_states, num_subcarriers),
-            dtype=complex,
-        )
-        carrier = tracer.frequency_hz
-        freq_factor = -2.0j * np.pi * freqs  # shared (K,) phasor exponent
-        for n, element in enumerate(array.elements):
-            amplitude, total, _, _, clear = tracer.relay_geometry_batch(
-                tx,
-                element.position,
-                rx_x,
-                rx_y,
-                tx_antenna=tx_antenna,
-                rx_antenna=rx_antenna,
-                relay_antenna_in=element.antenna,
-                relay_antenna_out=element.antenna,
-            )
-            carrier_phasor = np.exp(
-                -2.0j * np.pi * total / tracer.wavelength_m
-            )  # (P,)
-            base_delay = total / SPEED_OF_LIGHT
-            for m, state in enumerate(element.states):
-                if state.is_terminated:
-                    continue
-                stub_carrier_phase = (
-                    -2.0 * math.pi * carrier * state.extra_path_m / SPEED_OF_LIGHT
-                )
-                reflectivity = state.magnitude * complex(
-                    math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
-                )
-                gain = amplitude * reflectivity * carrier_phasor
-                gain = gain * complex(
-                    math.cos(stub_carrier_phase), math.sin(stub_carrier_phase)
-                )
-                valid = clear & (np.abs(gain) != 0.0)
-                delay = base_delay + state.extra_delay_s
-                contribution = gain[:, None] * np.exp(
-                    freq_factor[None, :] * delay[:, None]
-                )
-                contribution[~valid] = 0.0
-                tensors[:, n, m, :] = contribution
-        bases: list[ChannelBasis] = []
-        for p in range(num_points):
-            gains, delays = ambient.point_arrays(p)
-            bases.append(
-                cls(
-                    space=space,
-                    frequencies_hz=freqs,
-                    ambient_gains=gains,
-                    ambient_delays=delays,
-                    state_tensor=tensors[p],
-                    num_subcarriers=num_subcarriers,
-                    bandwidth_hz=bandwidth_hz,
-                )
-            )
-        return bases
-
-    @classmethod
-    def trace_chunked(
-        cls,
-        array: PressArray,
-        tx: Point,
-        rx: Point,
-        tracer: RayTracer,
-        tx_antenna: Antenna = IsotropicAntenna(),
-        rx_antenna: Antenna = IsotropicAntenna(),
-        num_subcarriers: int = NUM_SUBCARRIERS,
-        bandwidth_hz: float = BANDWIDTH_HZ,
-        environment_paths: Optional[Sequence[SignalPath]] = None,
-        element_chunk: int = 256,
-        memory_budget_bytes: Optional[int] = DEFAULT_STATE_TENSOR_BUDGET_BYTES,
-    ) -> "ChannelBasis":
-        """Large-array basis construction: chunked, budgeted, state-vectorized.
-
-        The wall-sized twin of :meth:`trace`.  Geometry (distances,
-        blockage, antenna gains) is computed exactly once per *element* via
-        :meth:`RayTracer.relay_geometry_batch` — not once per
-        (element, state) as the scalar path does — and every state's
-        reflectivity, stub phase and stub dispersion fold in as vectorized
-        per-chunk numpy operations, with per-state-set constants cached
-        across elements.  Agrees with :meth:`trace` to <=1e-9 (the stub
-        phasor is factored out of the per-subcarrier exponential; the math
-        is identical, the op order differs only in that split).
+        Geometry (distances, blockage, antenna gains) is computed exactly
+        once per *element* via :meth:`RayTracer.relay_geometry_batch`, and
+        every state's reflectivity, stub phase and stub dispersion fold in
+        as vectorized per-chunk numpy operations, with per-state-set
+        constants cached across elements.  The result agrees with the
+        per-path route (:meth:`PressArray.element_paths`) to <=1e-9.
 
         The state tensor is assembled ``element_chunk`` elements at a time
         so the per-chunk temporaries stay bounded, and the full
@@ -488,6 +326,98 @@ class ChannelBasis:
             num_subcarriers=num_subcarriers,
             bandwidth_hz=bandwidth_hz,
         )
+
+    @classmethod
+    def trace_batch(
+        cls,
+        array: PressArray,
+        tx: Point,
+        rx_points: Union[Sequence[Point], np.ndarray],
+        tracer: RayTracer,
+        tx_antenna: Antenna = IsotropicAntenna(),
+        rx_antenna: Antenna = IsotropicAntenna(),
+        num_subcarriers: int = NUM_SUBCARRIERS,
+        bandwidth_hz: float = BANDWIDTH_HZ,
+        ambient: Optional[PathBatch] = None,
+    ) -> list["ChannelBasis"]:
+        """One basis per receiver point, traced with the batched geometry.
+
+        The batched twin of :meth:`trace`, for position sweeps (coverage
+        maps, placement scans): ambient multipath comes from
+        :meth:`RayTracer.trace_batch`, and each element's two-hop geometry
+        — distances, blockage, antenna gains — is computed once for all P
+        points via :meth:`RayTracer.relay_geometry_batch`, then folded with
+        every state's reflectivity and stub phase.  Per-point results match
+        :meth:`trace` to machine precision, and ambient path counts — and
+        therefore drift-draw counts — are identical to it.
+
+        ``ambient`` lets a caller reuse an already-traced batch.
+        """
+        freqs = subcarrier_frequencies(num_subcarriers, bandwidth_hz)
+        if ambient is None:
+            ambient = tracer.trace_batch(tx, rx_points, tx_antenna, rx_antenna)
+        rx_x, rx_y = _points_to_arrays(rx_points)
+        num_points = ambient.num_points
+        _BATCHES_TRACED.inc()
+        _BATCH_POINTS.inc(num_points)
+        space = array.configuration_space()
+        max_states = max(space.state_counts)
+        tensors = np.zeros(
+            (num_points, array.num_elements, max_states, num_subcarriers),
+            dtype=complex,
+        )
+        carrier = tracer.frequency_hz
+        freq_factor = -2.0j * np.pi * freqs  # shared (K,) phasor exponent
+        for n, element in enumerate(array.elements):
+            amplitude, total, _, _, clear = tracer.relay_geometry_batch(
+                tx,
+                element.position,
+                rx_x,
+                rx_y,
+                tx_antenna=tx_antenna,
+                rx_antenna=rx_antenna,
+                relay_antenna_in=element.antenna,
+                relay_antenna_out=element.antenna,
+            )
+            carrier_phasor = np.exp(
+                -2.0j * np.pi * total / tracer.wavelength_m
+            )  # (P,)
+            base_delay = total / SPEED_OF_LIGHT
+            for m, state in enumerate(element.states):
+                if state.is_terminated:
+                    continue
+                stub_carrier_phase = (
+                    -2.0 * math.pi * carrier * state.extra_path_m / SPEED_OF_LIGHT
+                )
+                reflectivity = state.magnitude * complex(
+                    math.cos(state.fixed_phase_rad), math.sin(state.fixed_phase_rad)
+                )
+                gain = amplitude * reflectivity * carrier_phasor
+                gain = gain * complex(
+                    math.cos(stub_carrier_phase), math.sin(stub_carrier_phase)
+                )
+                valid = clear & (np.abs(gain) != 0.0)
+                delay = base_delay + state.extra_delay_s
+                contribution = gain[:, None] * np.exp(
+                    freq_factor[None, :] * delay[:, None]
+                )
+                contribution[~valid] = 0.0
+                tensors[:, n, m, :] = contribution
+        bases: list[ChannelBasis] = []
+        for p in range(num_points):
+            gains, delays = ambient.point_arrays(p)
+            bases.append(
+                cls(
+                    space=space,
+                    frequencies_hz=freqs,
+                    ambient_gains=gains,
+                    ambient_delays=delays,
+                    state_tensor=tensors[p],
+                    num_subcarriers=num_subcarriers,
+                    bandwidth_hz=bandwidth_hz,
+                )
+            )
+        return bases
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -91,13 +91,95 @@ class _CountingScore:
         return value
 
 
+class _ScoreProbe:
+    """The :class:`~repro.core.basis.DeltaEvaluator` probe protocol over a
+    counted callback score.
+
+    Every probe (``flip``, ``flip_many``, ``set_configuration`` and each
+    non-held state of ``scores_for_element``) is one call of the
+    memoising :class:`_CountingScore`, so ``run_delta`` searchers sound a
+    measurement-backed channel exactly as they would a basis.  ``revert``
+    and ``commit`` are free; ``num_scores`` and ``trajectory`` are the
+    counter's.  Starts at (and scores) the all-zeros configuration.
+    """
+
+    def __init__(self, space: ConfigurationSpace, score: _CountingScore) -> None:
+        self.space = space
+        self._score_fn = score
+        self._indices = np.zeros(space.num_elements, dtype=np.intp)
+        self.score = score(self.configuration)
+        self._committed_indices = self._indices.copy()
+        self._committed_score = self.score
+
+    @property
+    def configuration(self) -> ArrayConfiguration:
+        return ArrayConfiguration(tuple(int(i) for i in self._indices))
+
+    @property
+    def committed_configuration(self) -> ArrayConfiguration:
+        return ArrayConfiguration(tuple(int(i) for i in self._committed_indices))
+
+    @property
+    def num_scores(self) -> int:
+        return self._score_fn.num_evaluations
+
+    @property
+    def trajectory(self) -> list[float]:
+        return self._score_fn.trajectory
+
+    def _probe(self) -> float:
+        self.score = self._score_fn(self.configuration)
+        return self.score
+
+    def flip(self, element: int, state: int) -> float:
+        self._indices[element] = state
+        return self._probe()
+
+    def flip_many(self, elements: np.ndarray, states: np.ndarray) -> float:
+        self._indices[elements] = states
+        return self._probe()
+
+    def set_configuration(self, configuration: ArrayConfiguration) -> float:
+        self._indices = np.array(configuration.indices, dtype=np.intp)
+        return self._probe()
+
+    def revert(self) -> float:
+        self._indices = self._committed_indices.copy()
+        self.score = self._committed_score
+        return self.score
+
+    def commit(self) -> float:
+        self._committed_indices = self._indices.copy()
+        self._committed_score = self.score
+        return self.score
+
+    def scores_for_element(self, element: int) -> np.ndarray:
+        held = int(self._indices[element])
+        scores = np.empty(self.space.state_counts[element])
+        for state in range(scores.size):
+            self._indices[element] = state
+            scores[state] = (
+                self.score if state == held else self._score_fn(self.configuration)
+            )
+        self._indices[element] = held
+        return scores
+
+
 @dataclass(frozen=True)
 class Searcher:
-    """Base class: concrete searchers implement :meth:`run`."""
+    """Base class: concrete searchers implement :meth:`run` (a counted
+    callback score) or :meth:`run_delta` (the probe protocol)."""
 
     def search(self, space: ConfigurationSpace, score: ScoreFunction) -> SearchResult:
-        """Run the search with evaluation counting and memoisation."""
+        """Run the search with evaluation counting and memoisation.
+
+        Searchers that implement :meth:`run_delta` run it here too, on a
+        :class:`_ScoreProbe` over the counted score: the one implementation
+        serves measurement-backed controllers and channel bases alike.
+        """
         counting = _CountingScore(score)
+        if self.uses_delta:
+            return self._run_probe(_ScoreProbe(space, counting))
         best, best_score = self.run(space, counting)
         return SearchResult(
             best=best,
@@ -123,12 +205,11 @@ class Searcher:
         the measurement-backed score functions do.
 
         Searchers that implement :meth:`run_delta` (the scalable ones)
-        additionally route through a :class:`~repro.core.basis.DeltaEvaluator`
-        here, scoring configurations by O(K) per-element delta updates —
+        run it here on a :class:`~repro.core.basis.DeltaEvaluator`,
+        scoring configurations by O(K) per-element delta updates —
         per-flip cost independent of N — instead of re-summing all N
-        element contributions per candidate.  The generic callback path
-        (:meth:`search`) is untouched: controllers driving real
-        measurements still go through it.
+        element contributions per candidate.  :meth:`search` runs the same
+        ``run_delta`` against a callback score.
 
         **Reentrancy.** Every call builds its own evaluator (and delta
         scorer) over the immutable basis arrays; no state is shared
@@ -146,18 +227,20 @@ class Searcher:
             mask=mask,
         )
         if self.uses_delta:
-            delta = evaluator.delta()
-            best, best_score = self.run_delta(delta)
-            return SearchResult(
-                best=best,
-                best_score=best_score,
-                num_evaluations=delta.num_scores,
-                trajectory=delta.trajectory,
-            )
+            return self._run_probe(evaluator.delta())
         return self.search(basis.space, evaluator)
 
+    def _run_probe(self, probe: "DeltaEvaluator | _ScoreProbe") -> SearchResult:
+        best, best_score = self.run_delta(probe)
+        return SearchResult(
+            best=best,
+            best_score=best_score,
+            num_evaluations=probe.num_scores,
+            trajectory=probe.trajectory,
+        )
+
     #: Searchers that implement :meth:`run_delta` set this true; it routes
-    #: :meth:`search_basis` through the incremental scorer.
+    #: both :meth:`search` and :meth:`search_basis` through it.
     uses_delta = False
 
     def run_delta(
@@ -251,7 +334,9 @@ class GreedyCoordinateDescent(Searcher):
     on a :class:`~repro.core.basis.DeltaEvaluator`: each element's M
     candidate states are scored in one vectorized batch from the running
     element sum, so a full sweep costs O(N*M*K) total instead of
-    O(N^2*M*K) — per-candidate cost independent of array size.
+    O(N^2*M*K) — per-candidate cost independent of array size.  Against a
+    callback score (:meth:`Searcher.search`) each candidate is one
+    memoised sounding.
     """
 
     max_sweeps: int = 4
@@ -266,44 +351,14 @@ class GreedyCoordinateDescent(Searcher):
         if self.restarts <= 0:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
 
-    def run(
-        self, space: ConfigurationSpace, score: ScoreFunction
-    ) -> tuple[ArrayConfiguration, float]:
-        rng = np.random.default_rng(self.seed)
-        best: Optional[ArrayConfiguration] = None
-        best_score = -math.inf
-        for restart in range(self.restarts):
-            if restart == 0:
-                current = ArrayConfiguration(tuple([0] * space.num_elements))
-            else:
-                current = space.random_configuration(rng)
-            current_score = score(current)
-            for _ in range(self.max_sweeps):
-                improved = False
-                for element in range(space.num_elements):
-                    for state in range(space.state_counts[element]):
-                        if state == current.indices[element]:
-                            continue
-                        candidate = current.with_element_state(element, state)
-                        value = score(candidate)
-                        if value > current_score:
-                            current, current_score = candidate, value
-                            improved = True
-                if not improved:
-                    break
-            if current_score > best_score:
-                best, best_score = current, current_score
-        assert best is not None
-        return best, best_score
-
     def run_delta(
         self, delta: "DeltaEvaluator"
     ) -> tuple[ArrayConfiguration, float]:
-        """Coordinate descent over the incremental scorer.
+        """Coordinate descent over the probe protocol.
 
-        Same acceptance semantics as :meth:`run` — an element moves to the
-        best strictly-improving state (first index wins ties) — but each
-        element's candidates are scored in one batched
+        An element moves to its best state when that state strictly
+        improves the current score (the first index wins ties).  Each
+        element's candidates come from one
         :meth:`~repro.core.basis.DeltaEvaluator.scores_for_element` call.
         """
         rng = np.random.default_rng(self.seed)
@@ -351,10 +406,13 @@ class RFocusMajoritySearch(Searcher):
     per-element statistics converge because every element's states are
     (randomly) exercised across the batch.
 
-    Only meaningful against a channel basis (it is delta-powered); the
-    candidate configuration produced by a vote is adopted only if it
-    actually improves the committed score, otherwise the round is rolled
-    back and ``patience`` counts down to early exit.
+    Runs on the probe protocol, so it serves a channel basis
+    (:meth:`Searcher.search_basis`) and a measured callback score
+    (:meth:`Searcher.search`) alike; a round costs at most
+    ``perturbations + 1`` soundings either way.  The candidate
+    configuration produced by a vote is adopted only if it actually
+    improves the committed score, otherwise the round is rolled back and
+    ``patience`` counts down to early exit.
 
     Parameters
     ----------
@@ -389,56 +447,6 @@ class RFocusMajoritySearch(Searcher):
             )
         if self.patience <= 0:
             raise ValueError(f"patience must be positive, got {self.patience}")
-
-    def run(
-        self, space: ConfigurationSpace, score: ScoreFunction
-    ) -> tuple[ArrayConfiguration, float]:
-        """Callback-scored variant (for measurement-backed controllers).
-
-        Draws the same RNG stream and makes the same decisions as
-        :meth:`run_delta`; each whole-array perturbation costs one
-        ``score`` call, so the per-round sounding budget is
-        ``perturbations + 1`` regardless of N.
-        """
-        rng = np.random.default_rng(self.seed)
-        num_elements = space.num_elements
-        state_counts = np.array(space.state_counts, dtype=np.intp)
-        max_states = int(state_counts.max())
-        current = np.zeros(num_elements, dtype=np.intp)
-        current_score = score(ArrayConfiguration(tuple([0] * num_elements)))
-        stale = 0
-        rows = np.arange(num_elements)
-        for _ in range(self.rounds):
-            _ROUNDS.inc()
-            score_sums = np.zeros((num_elements, max_states))
-            probe_counts = np.zeros((num_elements, max_states))
-            for _ in range(self.perturbations):
-                mask = rng.random(num_elements) < self.flip_fraction
-                random_states = rng.integers(0, state_counts)
-                probe = np.where(mask, random_states, current)
-                value = score(ArrayConfiguration(tuple(int(s) for s in probe)))
-                score_sums[rows, probe] += value
-                probe_counts[rows, probe] += 1.0
-            sampled = probe_counts > 0
-            means = np.full((num_elements, max_states), -math.inf)
-            means[sampled] = score_sums[sampled] / probe_counts[sampled]
-            voted = np.argmax(means, axis=1)
-            if np.array_equal(voted, current):
-                stale += 1
-                if stale >= self.patience:
-                    break
-                continue
-            value = score(ArrayConfiguration(tuple(int(s) for s in voted)))
-            if value > current_score:
-                _FLIPS.inc(int((voted != current).sum()))
-                current = voted.copy()
-                current_score = value
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
-        return ArrayConfiguration(tuple(int(s) for s in current)), current_score
 
     def run_delta(
         self, delta: "DeltaEvaluator"

@@ -126,7 +126,7 @@ def _fig4_placement_task(task: _Fig4Task) -> Fig4PlacementResult:
     """One Figure 4 panel: sweep 64 configs x reps over a shipped basis.
 
     The placement's rng is seeded from ``noise_seed + placement_seed``
-    alone and the drift/noise draws follow the legacy sweep order, so
+    alone and the drift/noise draws follow ``Testbed.sweep``'s order, so
     results are bit-identical to the historical build-in-worker path at
     any worker count.
     """

@@ -17,8 +17,8 @@ how those axes fan out:
 * With ``collect_obs=True``, :func:`run_parallel` also returns each task's
   observability delta — the per-worker metrics/span sample the run-record
   sink merges into a complete run-level view at any ``--jobs``
-  (:func:`merged_telemetry`), fixing the parent-only blind spot the old
-  :func:`process_telemetry` documented.
+  (:func:`merged_telemetry`), so worker processes' counters are never
+  missed.
 
 Task functions must be module-level (picklable) and tasks/results must
 survive a round-trip through pickle; every experiment's task payload here
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
@@ -49,7 +48,6 @@ __all__ = [
     "shared_pool",
     "warm_pool",
     "shutdown_shared_pools",
-    "process_telemetry",
     "merged_telemetry",
 ]
 
@@ -91,37 +89,13 @@ def derive_seeds(base_seed: int, count: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(base_seed).spawn(count)
 
 
-def process_telemetry() -> dict:
-    """Deprecated: trace-cache counters for *this process only*.
-
-    Use :func:`merged_telemetry` (fed by ``run_parallel(collect_obs=True)``
-    samples), which aggregates across worker processes instead of seeing
-    only the parent.  Kept as a thin shim for callers of the old API.
-    """
-    warnings.warn(
-        "process_telemetry() sees only the parent process; use "
-        "merged_telemetry() with run_parallel(collect_obs=True) samples "
-        "for complete cross-worker totals",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..em.trace_cache import global_trace_cache
-
-    cache = global_trace_cache()
-    return {
-        "trace_cache_hits": cache.hits,
-        "trace_cache_misses": cache.misses,
-        "trace_cache_entries": len(cache),
-    }
-
-
 def merged_telemetry(
     worker_samples: Sequence[ObsSample] = (),
     since: Optional[ObsSample] = None,
 ) -> dict:
     """Run-level trace-cache totals: parent *plus* every worker.
 
-    The successor of :func:`process_telemetry`: merges the parent process's
+    Merges the parent process's
     registry (optionally only its delta ``since`` a sample taken at run
     start) with the per-task worker samples ``run_parallel(collect_obs=
     True)`` returned.  Hit/miss totals cover per-link and batched lookups;

@@ -15,8 +15,7 @@ The aggregation primitive is :class:`ObsSample` — a picklable
 takes a sample delta around every task in every worker; the parent merges
 those deltas with its own delta over the whole experiment body.  Because
 counters and histogram bins are integers, the merged totals are exact at
-any ``--jobs`` value — the per-process blind spot the old
-``process_telemetry()`` documented is gone.
+any ``--jobs`` value, workers included.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ over all array configurations (Figures 4-6), frequency-selectivity pairs
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -30,11 +29,10 @@ from ..em.channel import (
     ChannelObservation,
     observe_cfr,
     snr_db_from_cfr,
-    subcarrier_frequencies,
 )
 from ..em.antennas import Antenna
 from ..em.geometry import Point
-from ..em.paths import SignalPath, paths_to_cfr
+from ..em.paths import SignalPath
 from ..em.raytracer import RayTracer
 from ..em.scene import Scene
 from ..em.trace_cache import global_trace_cache
@@ -47,7 +45,6 @@ __all__ = [
     "SweepResult",
     "drift_factors",
     "sweep_basis_snr",
-    "LARGE_ARRAY_THRESHOLD",
 ]
 
 # Span names: registered once here so the phase vocabulary of a run is
@@ -55,13 +52,6 @@ __all__ = [
 _SPAN_BASIS_TRACE = "testbed.basis_trace"
 _SPAN_BASES_FOR_POINTS = "testbed.bases_for_points"
 _SPAN_SWEEP = "testbed.sweep"
-
-#: Arrays at or above this element count trace their basis through
-#: :meth:`ChannelBasis.trace_chunked` (per-element geometry, vectorized
-#: state folding, budgeted tensor) instead of the scalar per-(element,
-#: state) path.  Below it the scalar path is kept so prototype-scale
-#: results stay bit-identical with earlier revisions.
-LARGE_ARRAY_THRESHOLD = 32
 
 
 def drift_factors(
@@ -73,9 +63,11 @@ def drift_factors(
     """Per-path complex drift factors for one measurement (or ``None``).
 
     Draw order (one phase vector, then one amplitude vector) is the RNG
-    contract shared by the legacy and basis sweep paths — and by workers
-    sweeping a shipped basis without a testbed — so identically seeded
-    generators produce identical measurements everywhere.
+    contract shared by :meth:`Testbed.channel` (and so
+    :meth:`Testbed.measure_csi`), the basis sweep and the MIMO matrices —
+    and by workers sweeping a shipped basis without a testbed — so
+    identically seeded generators produce identical measurements
+    everywhere.
     """
     if rng is None or (drift_phase_rad == 0 and drift_amplitude == 0):
         return None
@@ -95,14 +87,14 @@ def sweep_basis_snr(
     drift_phase_rad: float = 0.0,
     drift_amplitude: float = 0.0,
 ) -> np.ndarray:
-    """The basis-mode configuration sweep, standalone.
+    """The configuration sweep of :meth:`Testbed.sweep`, standalone.
 
-    Exactly :meth:`Testbed._sweep_basis`'s computation, but taking the
-    (picklable) basis and radio parameters directly: a worker process can
-    sweep a basis traced by the parent without rebuilding scene, tracer or
-    testbed.  Drift/noise draws stay in legacy order (repetition-major,
-    configuration-major).  Returns shape
-    ``(repetitions, configurations, subcarriers)``.
+    Takes the (picklable) basis and radio parameters directly: a worker
+    process can sweep a basis traced by the parent without rebuilding
+    scene, tracer or testbed.  Drift/noise draws come in the order a loop
+    of :meth:`Testbed.measure_csi` calls would make them
+    (repetition-major, configuration-major), so seeds match that loop.
+    Returns shape ``(repetitions, configurations, subcarriers)``.
     """
     element_sums = basis.all_element_sums  # (C, K)
     num_configs = element_sums.shape[0]
@@ -302,14 +294,10 @@ class Testbed:
     ) -> ChannelBasis:
         """The precomputed channel basis for a device-chain pair (cached).
 
-        Traces geometry once — ambient multipath plus one two-hop relay
-        path per (element, state) — after which any configuration's CFR is
-        ``H0 + sum_n E[n, c_n]``, a vectorized gather over the basis.
-
-        Arrays of :data:`LARGE_ARRAY_THRESHOLD` elements or more route
-        through :meth:`ChannelBasis.trace_chunked` (per-element geometry,
-        per-chunk vectorized state folding, budgeted tensor allocation);
-        smaller arrays keep the scalar path bit-for-bit.
+        Traces geometry once through :meth:`ChannelBasis.trace` — ambient
+        multipath plus each element's two-hop relay geometry — after which
+        any configuration's CFR is ``H0 + sum_n E[n, c_n]``, a vectorized
+        gather over the basis.
         """
         tx = tx_device.chains[tx_chain]
         rx = rx_device.chains[rx_chain]
@@ -320,13 +308,8 @@ class Testbed:
             rx.antenna,
         )
         if key not in self._basis_cache:
-            trace = (
-                ChannelBasis.trace_chunked
-                if self.array.num_elements >= LARGE_ARRAY_THRESHOLD
-                else ChannelBasis.trace
-            )
             with global_tracer().span(_SPAN_BASIS_TRACE):
-                self._basis_cache[key] = trace(
+                self._basis_cache[key] = ChannelBasis.trace(
                     self.array,
                     tx.position,
                     rx.position,
@@ -499,53 +482,34 @@ class Testbed:
         repetitions: int = 10,
         rng: Optional[np.random.Generator] = None,
         used_mask: Optional[np.ndarray] = None,
-        mode: str = "basis",
-        used_only_mask: Optional[np.ndarray] = None,
     ) -> SweepResult:
         """Iterate all configurations ``repetitions`` times (the §3.2 loop).
 
         "we iterate through the 64 combinations 10 times and calculate
         statistics on the SNR for each PRESS antenna configuration."
 
-        ``mode="basis"`` (default) evaluates the sweep from the precomputed
-        channel basis — geometry traced once, every configuration's CFR a
-        vectorized gather + sum; ``mode="legacy"`` keeps the original
-        measure-per-configuration route.  Both modes draw from ``rng`` in
-        the same order, so identical seeds give identical results (to
-        machine precision) either way.
-
-        ``used_only_mask`` is a deprecated alias for ``used_mask``.
+        The sweep is evaluated from the precomputed channel basis —
+        geometry traced once, every configuration's CFR a vectorized
+        gather + sum (see :func:`sweep_basis_snr`, which parallel figure
+        runners also call against shipped bases).  Without an rng the
+        whole sweep is one vectorized evaluation; with one, each
+        measurement draws its drift and noise in the order a loop of
+        :meth:`measure_csi` calls would, so identical seeds give that
+        loop's results to machine precision.
         """
         if repetitions <= 0:
             raise ValueError(f"repetitions must be positive, got {repetitions}")
-        if used_only_mask is not None:
-            warnings.warn(
-                "Testbed.sweep's used_only_mask is deprecated; "
-                "pass used_mask instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if used_mask is not None:
-                raise ValueError(
-                    "pass either used_mask or the deprecated used_only_mask, not both"
-                )
-            used_mask = used_only_mask
-        if mode not in ("basis", "legacy"):
-            raise ValueError(f"mode must be 'basis' or 'legacy', got {mode!r}")
         configurations = self.configurations
         with global_tracer().span(_SPAN_SWEEP):
-            if mode == "legacy":
-                snr = np.empty(
-                    (repetitions, len(configurations), self.num_subcarriers)
-                )
-                for rep in range(repetitions):
-                    for index, configuration in enumerate(configurations):
-                        observation = self.measure_csi(
-                            tx_device, rx_device, configuration, rng=rng
-                        )
-                        snr[rep, index] = observation.snr_db
-            else:
-                snr = self._sweep_basis(tx_device, rx_device, repetitions, rng)
+            snr = sweep_basis_snr(
+                self.basis_for(tx_device, rx_device),
+                repetitions,
+                rng,
+                tx_power_dbm=tx_device.tx_power_dbm,
+                noise_figure_db=rx_device.noise_figure_db,
+                drift_phase_rad=self.drift_phase_rad,
+                drift_amplitude=self.drift_amplitude,
+            )
         if used_mask is None:
             if self.num_subcarriers == 64:
                 used_mask = OfdmParams().used_mask()
@@ -562,35 +526,6 @@ class Testbed:
             snr_db=snr, configurations=configurations, used_mask=used_mask
         )
 
-    def _sweep_basis(
-        self,
-        tx_device: SdrDevice,
-        rx_device: SdrDevice,
-        repetitions: int,
-        rng: Optional[np.random.Generator],
-    ) -> np.ndarray:
-        """The fast sweep path: precomputed basis, vectorized CFR evaluation.
-
-        Without an rng the measurement is deterministic, so the whole
-        (repetitions x configurations x subcarriers) tensor is one
-        vectorized evaluation.  With an rng, each measurement still needs
-        its own drift/noise draws in legacy order (repetition-major,
-        configuration-major) for stream equivalence — but every draw now
-        feeds O(K) numpy ops on the precomputed basis instead of a
-        re-trace.  Delegates to the module-level :func:`sweep_basis_snr`
-        (which parallel figure runners also call against shipped bases).
-        """
-        basis = self.basis_for(tx_device, rx_device)
-        return sweep_basis_snr(
-            basis,
-            repetitions,
-            rng,
-            tx_power_dbm=tx_device.tx_power_dbm,
-            noise_figure_db=rx_device.noise_figure_db,
-            drift_phase_rad=self.drift_phase_rad,
-            drift_amplitude=self.drift_amplitude,
-        )
-
     # ------------------------------------------------------------------
     # MIMO measurements
     # ------------------------------------------------------------------
@@ -601,7 +536,6 @@ class Testbed:
         configuration: ArrayConfiguration,
         rng: Optional[np.random.Generator] = None,
         estimation_error_std: float = 0.0,
-        mode: str = "basis",
     ) -> np.ndarray:
         """Per-subcarrier MIMO channel matrices for one configuration.
 
@@ -610,45 +544,24 @@ class Testbed:
         error per entry, standing in for the finite-SNR CSI estimates of
         §3.2.3 (which averages 50 measurements per configuration).
 
-        ``mode="basis"`` reuses each chain pair's precomputed channel
-        basis (geometry traced once per pair, drift applied as a phasor
-        scaling of the ambient gain vector); ``mode="legacy"`` re-traces
-        the element paths per call.  Both draw from ``rng`` identically.
+        Each chain pair reuses its precomputed channel basis (geometry
+        traced once per pair, drift applied as a phasor scaling of the
+        ambient gain vector).  ``rng`` is drawn in the order per-pair
+        :meth:`channel` calls would draw it, then for the estimation error.
         """
-        if mode not in ("basis", "legacy"):
-            raise ValueError(f"mode must be 'basis' or 'legacy', got {mode!r}")
-        freqs = subcarrier_frequencies(self.num_subcarriers, self.bandwidth_hz)
         num_rx = rx_device.num_chains
         num_tx = tx_device.num_chains
         h = np.zeros((self.num_subcarriers, num_rx, num_tx), dtype=complex)
         for i in range(num_rx):
             for j in range(num_tx):
-                if mode == "basis":
-                    basis = self.basis_for(tx_device, rx_device, j, i)
-                    factors = self._drift_factors(basis.num_ambient_paths, rng)
-                    h[:, i, j] = basis.cfr(
-                        configuration,
-                        ambient_gains=(
-                            None
-                            if factors is None
-                            else basis.ambient_gains * factors
-                        ),
-                    )
-                    continue
-                tx = tx_device.chains[j]
-                rx = rx_device.chains[i]
-                env = self._drifted(
-                    self.environment_paths(tx_device, rx_device, j, i), rng
-                )
-                press = self.array.element_paths(
+                basis = self.basis_for(tx_device, rx_device, j, i)
+                factors = self._drift_factors(basis.num_ambient_paths, rng)
+                h[:, i, j] = basis.cfr(
                     configuration,
-                    tx.position,
-                    rx.position,
-                    self.tracer,
-                    tx.antenna,
-                    rx.antenna,
+                    ambient_gains=(
+                        None if factors is None else basis.ambient_gains * factors
+                    ),
                 )
-                h[:, i, j] = paths_to_cfr(list(env) + press, freqs)
         if estimation_error_std > 0:
             if rng is None:
                 raise ValueError("estimation_error_std > 0 requires an rng")

@@ -1,13 +1,15 @@
-"""Fast path vs legacy: the channel basis must be numerically exact.
+"""The channel basis against per-path oracles: numerically exact.
 
 The basis sweep engine (``repro.core.basis``) exploits Γ-linearity —
 ``H(f; c) = H0(f) + sum_n E[n, c_n]`` — which is exact for passive
 elements with no element–element rescattering, i.e. exactly the physics
-the per-path route models.  These tests pin that equivalence: identical
-seeds must give identical sweeps (drift and estimation noise included) to
-within 1e-9, across LoS and NLoS scenes and across terminated and
-reflective element states, and the vectorized exhaustive search must
-return the same argmax as the measurement-backed one.
+the per-path route (:meth:`Testbed.channel`) models.  These tests pin that
+equivalence against oracles built here from the public per-measurement
+APIs: identical seeds must give identical sweeps and MIMO matrices (drift
+and estimation noise included) to within 1e-9, across LoS and NLoS
+scenes and across terminated and reflective element states, and the
+vectorized exhaustive search must return the same argmax as the
+measurement-backed one.
 """
 
 import numpy as np
@@ -30,61 +32,81 @@ from repro.experiments import (
 ATOL = 1e-9
 
 
+def measured_sweep(setup, repetitions, rng=None):
+    """Oracle sweep: one ``measure_csi`` per (repetition, configuration)."""
+    testbed = setup.testbed
+    return np.array(
+        [
+            [
+                testbed.measure_csi(
+                    setup.tx_device, setup.rx_device, configuration, rng=rng
+                ).snr_db
+                for configuration in testbed.configurations
+            ]
+            for _ in range(repetitions)
+        ]
+    )
+
+
+def per_path_mimo(setup, configuration, rng, estimation_error_std):
+    """Oracle MIMO matrices: one per-path channel per chain pair."""
+    testbed = setup.testbed
+    num_rx = setup.rx_device.num_chains
+    num_tx = setup.tx_device.num_chains
+    h = np.zeros((testbed.num_subcarriers, num_rx, num_tx), dtype=complex)
+    for i in range(num_rx):
+        for j in range(num_tx):
+            h[:, i, j] = testbed.channel(
+                setup.tx_device,
+                setup.rx_device,
+                configuration,
+                tx_chain=j,
+                rx_chain=i,
+                rng=rng,
+            ).cfr()
+    scale = estimation_error_std * np.sqrt(np.mean(np.abs(h) ** 2))
+    noise = scale / np.sqrt(2.0) * (
+        rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+    )
+    return h + noise
+
+
 @pytest.mark.parametrize("builder", [build_nlos_setup, build_los_setup])
 def test_sweep_modes_agree_with_drift_and_noise(builder):
-    """Same seed, either mode: identical sweeps (drift + estimation noise)."""
+    """Same seed: the basis sweep is the measured sweep (drift + noise)."""
     setup = builder(3)
-    legacy = setup.testbed.sweep(
-        setup.tx_device,
-        setup.rx_device,
-        repetitions=3,
-        rng=np.random.default_rng(7),
-        mode="legacy",
-    )
+    oracle = measured_sweep(setup, 3, np.random.default_rng(7))
     fast = setup.testbed.sweep(
         setup.tx_device,
         setup.rx_device,
         repetitions=3,
         rng=np.random.default_rng(7),
-        mode="basis",
     )
-    assert fast.configurations == legacy.configurations
-    np.testing.assert_array_equal(fast.used_mask, legacy.used_mask)
-    np.testing.assert_allclose(fast.snr_db, legacy.snr_db, rtol=0.0, atol=ATOL)
+    assert fast.configurations == setup.testbed.configurations
+    np.testing.assert_allclose(fast.snr_db, oracle, rtol=0.0, atol=ATOL)
 
 
 def test_sweep_modes_agree_noise_only():
     """Drift disabled, estimation noise on: streams still line up."""
     config = StudyConfig(drift_phase_rad=0.0, drift_amplitude=0.0)
     setup = build_nlos_setup(1, config)
-    legacy = setup.testbed.sweep(
-        setup.tx_device,
-        setup.rx_device,
-        repetitions=2,
-        rng=np.random.default_rng(11),
-        mode="legacy",
-    )
+    oracle = measured_sweep(setup, 2, np.random.default_rng(11))
     fast = setup.testbed.sweep(
         setup.tx_device,
         setup.rx_device,
         repetitions=2,
         rng=np.random.default_rng(11),
-        mode="basis",
     )
-    np.testing.assert_allclose(fast.snr_db, legacy.snr_db, rtol=0.0, atol=ATOL)
+    np.testing.assert_allclose(fast.snr_db, oracle, rtol=0.0, atol=ATOL)
 
 
 def test_sweep_modes_agree_exact():
-    """No rng: both modes return the exact (deterministic) sweep."""
+    """No rng: the sweep is the exact (deterministic) measured sweep."""
     setup = build_nlos_setup(6)
-    legacy = setup.testbed.sweep(
-        setup.tx_device, setup.rx_device, repetitions=2, mode="legacy"
-    )
-    fast = setup.testbed.sweep(
-        setup.tx_device, setup.rx_device, repetitions=2, mode="basis"
-    )
-    np.testing.assert_allclose(fast.snr_db, legacy.snr_db, rtol=0.0, atol=ATOL)
-    # Exact repetitions are identical by construction in both modes.
+    oracle = measured_sweep(setup, 2)
+    fast = setup.testbed.sweep(setup.tx_device, setup.rx_device, repetitions=2)
+    np.testing.assert_allclose(fast.snr_db, oracle, rtol=0.0, atol=ATOL)
+    # Exact repetitions are identical by construction.
     np.testing.assert_array_equal(fast.snr_db[0], fast.snr_db[1])
 
 
@@ -150,16 +172,11 @@ def test_basis_exhaustive_matches_legacy_exhaustive():
 
 
 def test_mimo_modes_agree():
-    """Per-chain-pair basis MIMO matrices match the re-traced ones."""
+    """Per-chain-pair basis MIMO matrices match the per-path oracle."""
     setup = build_mimo_setup(0)
     configuration = ArrayConfiguration(tuple([1] * setup.array.num_elements))
-    legacy = setup.testbed.mimo_matrices(
-        setup.tx_device,
-        setup.rx_device,
-        configuration,
-        rng=np.random.default_rng(13),
-        estimation_error_std=0.05,
-        mode="legacy",
+    oracle = per_path_mimo(
+        setup, configuration, np.random.default_rng(13), estimation_error_std=0.05
     )
     fast = setup.testbed.mimo_matrices(
         setup.tx_device,
@@ -167,33 +184,20 @@ def test_mimo_modes_agree():
         configuration,
         rng=np.random.default_rng(13),
         estimation_error_std=0.05,
-        mode="basis",
     )
-    np.testing.assert_allclose(fast, legacy, rtol=0.0, atol=ATOL)
+    np.testing.assert_allclose(fast, oracle, rtol=0.0, atol=ATOL)
 
 
 def test_used_mask_rename_and_validation():
-    """`used_mask` replaces `used_only_mask`; the alias still works."""
+    """`used_mask` flows through to the result and is validated."""
     setup = build_nlos_setup(0)
     testbed = setup.testbed
     mask = np.zeros(testbed.num_subcarriers, dtype=bool)
     mask[1:11] = True
-    via_new = testbed.sweep(
+    swept = testbed.sweep(
         setup.tx_device, setup.rx_device, repetitions=1, used_mask=mask
     )
-    via_alias = testbed.sweep(
-        setup.tx_device, setup.rx_device, repetitions=1, used_only_mask=mask
-    )
-    np.testing.assert_array_equal(via_new.used_mask, mask)
-    np.testing.assert_array_equal(via_alias.used_mask, mask)
-    with pytest.raises(ValueError, match="not both"):
-        testbed.sweep(
-            setup.tx_device,
-            setup.rx_device,
-            repetitions=1,
-            used_mask=mask,
-            used_only_mask=mask,
-        )
+    np.testing.assert_array_equal(swept.used_mask, mask)
     with pytest.raises(ValueError, match="used_mask"):
         testbed.sweep(
             setup.tx_device,
@@ -201,5 +205,3 @@ def test_used_mask_rename_and_validation():
             repetitions=1,
             used_mask=np.ones(10, dtype=bool),
         )
-    with pytest.raises(ValueError, match="mode"):
-        testbed.sweep(setup.tx_device, setup.rx_device, repetitions=1, mode="warp")

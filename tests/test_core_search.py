@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.configuration import ConfigurationSpace
+from repro.core.objectives import MinSnrObjective
 from repro.core.scheduler import (
     TimingModel,
     coherence_budget_table,
@@ -16,9 +17,11 @@ from repro.core.search import (
     GeneticSearch,
     GreedyCoordinateDescent,
     RandomSearch,
+    RFocusMajoritySearch,
     SimulatedAnnealing,
     SingleProbeSearch,
 )
+from repro.experiments import build_nlos_setup, used_subcarrier_mask
 
 
 @pytest.fixture
@@ -138,6 +141,88 @@ class TestMemoisation:
         # Memoised: unique evaluations never exceed the space size.
         assert result.num_evaluations <= space.size
         assert len(calls) == result.num_evaluations
+
+
+def stateful_score(space, seed):
+    """A measured-channel stand-in: fresh noise on every call, 0.1 dB steps.
+
+    The score draws from its own generator on each call, as a lossy radio
+    does, so only the memoised first sounding of a configuration counts;
+    rounding to 0.1 dB makes ties common.  Returns the score and the list
+    it appends each probed configuration to (as a digit string).
+    """
+    rng = np.random.default_rng(seed)
+    table = rng.normal(20.0, 1.0, size=space.size)
+    probed = []
+
+    def score(configuration):
+        probed.append("".join(str(i) for i in configuration.indices))
+        noisy = table[space.index_of(configuration)] + rng.normal(scale=0.5)
+        return round(float(noisy), 1)
+
+    return score, probed
+
+
+class TestCallbackRoute:
+    """Greedy and RFocus through ``search(space, score)``, pinned exactly.
+
+    The expected soundings, winner and trajectory are golden values: a
+    controller sounding a real radio must keep probing exactly these
+    configurations in this order, ties included.
+    """
+
+    SPACE = ConfigurationSpace((4, 3, 2, 4))
+
+    def test_greedy_restarts_sequence_pinned(self):
+        score, probed = stateful_score(self.SPACE, seed=2)
+        result = GreedyCoordinateDescent(restarts=3, seed=5).search(self.SPACE, score)
+        assert probed == (
+            "0000 1000 2000 3000 0100 0200 0210 0211 0212 0213 1213 2213 3213 "
+            "0013 0113 0203 2203 1203 3203 3003 3103 3210 3211 3212 1111 0111 "
+            "2111 3111 1011 1211 1201 1200 1202 0201 2201 3201 1001 1101"
+        ).split()
+        assert result.best.indices == (0, 2, 1, 3)
+        assert result.best_score == 21.6
+        assert result.num_evaluations == 38
+        assert result.trajectory == [20.0] * 5 + [20.4] + [21.0] * 3 + [21.6] * 29
+
+    def test_rfocus_sequence_pinned(self):
+        score, probed = stateful_score(self.SPACE, seed=2)
+        result = RFocusMajoritySearch(perturbations=6, seed=5).search(
+            self.SPACE, score
+        )
+        assert probed == (
+            "0000 0001 0110 0200 0100 1100 1210 1202 0103 2100 0111 1213 2110 "
+            "2010 1102 2102 1110 3110 3100 2000"
+        ).split()
+        assert result.best.indices == (2, 1, 0, 0)
+        assert result.best_score == 23.6
+        assert result.num_evaluations == 20
+        assert result.trajectory == (
+            [20.0] * 3 + [20.1] * 2 + [20.9] * 4 + [23.6] * 11
+        )
+
+    @pytest.mark.parametrize(
+        "searcher",
+        [GreedyCoordinateDescent(restarts=3, seed=1), RFocusMajoritySearch(seed=1)],
+    )
+    def test_callback_and_basis_routes_agree(self, searcher):
+        setup = build_nlos_setup(2)
+        basis = setup.testbed.basis_for(setup.tx_device, setup.rx_device)
+        radio = {
+            "tx_power_dbm": setup.tx_device.tx_power_dbm,
+            "noise_figure_db": setup.rx_device.noise_figure_db,
+            "mask": used_subcarrier_mask(),
+        }
+        objective = MinSnrObjective()
+        via_basis = searcher.search_basis(basis, objective, **radio)
+        via_callback = searcher.search(
+            basis.space, basis.evaluator(objective, **radio)
+        )
+        assert via_callback.best == via_basis.best
+        assert via_callback.best_score == pytest.approx(
+            via_basis.best_score, abs=1e-9
+        )
 
 
 class TestTimingModel:

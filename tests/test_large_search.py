@@ -1,7 +1,7 @@
 """Scalable searchers and the wall-sized array path.
 
 Pins the behaviours that let search scale past exhaustive enumeration:
-chunked basis tracing agrees with the scalar path, the enumeration guard
+a wall-sized basis agrees with the per-path channel, the enumeration guard
 raises (with a pointer to the scalable searchers) instead of OOMing,
 scheduler selection routes huge spaces to RFocus-style search, searchers
 are deterministic at a fixed seed, and the large-array experiment is
@@ -19,17 +19,16 @@ from repro.core import (
     exhaustive_argmax,
     pick_searcher,
 )
-from repro.core.basis import MAX_ENUMERABLE_CONFIGS, ChannelBasis
-from repro.core.configuration import ConfigurationSpace
+from repro.core.basis import MAX_ENUMERABLE_CONFIGS
+from repro.core.configuration import ArrayConfiguration, ConfigurationSpace
 from repro.experiments import (
     build_large_array_setup,
     build_nlos_setup,
     run_large_array,
     used_subcarrier_mask,
 )
-from repro.sdr.testbed import LARGE_ARRAY_THRESHOLD
 
-N_SMALL = 40  # >= LARGE_ARRAY_THRESHOLD so the chunked trace path runs
+N_SMALL = 40
 
 
 def _basis(setup):
@@ -44,33 +43,24 @@ def _search_kwargs(setup):
     }
 
 
-def test_chunked_trace_matches_scalar_trace():
-    """trace_chunked is the same basis as trace, to machine precision."""
+def test_large_basis_matches_per_path_channel():
+    """The N=40 basis reproduces the per-path channel to 1e-9."""
     setup = build_large_array_setup(0, num_elements=N_SMALL)
-    assert N_SMALL >= LARGE_ARRAY_THRESHOLD
     testbed = setup.testbed
-    chunked = _basis(setup)  # routed through trace_chunked by element count
-    tx = setup.tx_device.chains[0]
-    rx = setup.rx_device.chains[0]
-    scalar = ChannelBasis.trace(
-        setup.array,
-        tx.position,
-        rx.position,
-        testbed.tracer,
-        tx_antenna=tx.antenna,
-        rx_antenna=rx.antenna,
-        num_subcarriers=testbed.num_subcarriers,
-        bandwidth_hz=testbed.bandwidth_hz,
-        environment_paths=testbed.environment_paths(
-            setup.tx_device, setup.rx_device
-        ),
-    )
-    np.testing.assert_allclose(
-        chunked.state_tensor, scalar.state_tensor, rtol=0.0, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        chunked.ambient_cfr(), scalar.ambient_cfr(), rtol=0.0, atol=1e-12
-    )
+    basis = _basis(setup)
+    space = basis.space
+    rng = np.random.default_rng(3)
+    configurations = [
+        ArrayConfiguration(tuple([0] * space.num_elements)),
+        ArrayConfiguration(tuple([1] * space.num_elements)),
+    ] + [space.random_configuration(rng) for _ in range(3)]
+    for configuration in configurations:
+        reference = testbed.channel(
+            setup.tx_device, setup.rx_device, configuration
+        ).cfr()
+        np.testing.assert_allclose(
+            basis.cfr(configuration), reference, rtol=0.0, atol=1e-9
+        )
 
 
 def test_enumeration_guard_names_the_scalable_searchers():

@@ -4,15 +4,12 @@
 results at every worker count; the experiment drivers that adopt it
 (``run_fig4``, ``run_fig6``, ``run_fig7``, ``run_coverage_suite``) must
 return the same numbers serially and in parallel.  Also covers the
-``used_only_mask`` deprecation and the process-wide trace cache.
+process-wide trace cache.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import pytest
 
 from repro.em import global_trace_cache
 from repro.experiments import (
@@ -25,7 +22,6 @@ from repro.experiments import (
     run_fig6,
     run_fig7,
     run_parallel,
-    used_subcarrier_mask,
 )
 from repro.experiments.runner import available_cpus
 
@@ -128,21 +124,6 @@ def test_coverage_suite_parallel_matches_serial():
         np.testing.assert_array_equal(left.per_position_db, right.per_position_db)
         np.testing.assert_array_equal(left.joint_db, right.joint_db)
         assert left.joint_configuration == right.joint_configuration
-
-
-def test_used_only_mask_alias_warns_and_flows_through():
-    setup = build_nlos_setup(2, StudyConfig())
-    mask = used_subcarrier_mask()
-    with pytest.warns(DeprecationWarning, match="used_only_mask is deprecated"):
-        via_alias = setup.testbed.sweep(
-            setup.tx_device, setup.rx_device, repetitions=1, used_only_mask=mask
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        via_new = setup.testbed.sweep(
-            setup.tx_device, setup.rx_device, repetitions=1, used_mask=mask
-        )
-    np.testing.assert_array_equal(via_alias.snr_db, via_new.snr_db)
 
 
 def test_global_trace_cache_shares_traces_across_testbeds():
