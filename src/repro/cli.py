@@ -730,6 +730,17 @@ def _cmd_profile_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1, else a one-line usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -747,9 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
     scene.set_defaults(func=_cmd_scene)
 
     figures = sub.add_parser("figures", help="compact paper-vs-measured report")
-    figures.add_argument("--placements", type=int, default=8)
-    figures.add_argument("--repetitions", type=int, default=10)
-    figures.add_argument("--mimo-measurements", type=int, default=50)
+    figures.add_argument("--placements", type=_positive_int, default=8)
+    figures.add_argument("--repetitions", type=_positive_int, default=10)
+    figures.add_argument("--mimo-measurements", type=_positive_int, default=50)
     figures.add_argument(
         "--jobs",
         type=int,

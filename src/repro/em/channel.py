@@ -161,28 +161,73 @@ def observe_cfr(
     The measurement model behind :meth:`Channel.observe`, factored out so
     fast paths that synthesise the CFR without building path objects (the
     channel-basis sweep engine) share the identical noise and SNR math —
-    and, crucially, the identical RNG draw pattern.
+    and, crucially, the identical RNG draw pattern: one standard-normal
+    block of ``2 * cfr.size`` values, the real parts of the estimation
+    error first, then the imaginary parts.  Batched sweeps draw the same
+    block for many measurements at once and hand each row's columns to
+    :func:`_estimate_from_normals`.
     """
-    subcarrier_power_w = dbm_to_watts(tx_power_dbm) / num_subcarriers
-    subcarrier_bw = bandwidth_hz / num_subcarriers
-    noise_w = thermal_noise_power_w(subcarrier_bw, noise_figure_db)
-    snr_linear = subcarrier_power_w * np.abs(cfr) ** 2 / noise_w
-    estimated = cfr.copy()
-    if rng is not None:
-        error_var = noise_w / subcarrier_power_w * 10.0 ** (
-            estimation_snr_penalty_db / 10.0
+    if rng is None:
+        estimated = cfr.copy()
+        snr_db = snr_db_from_cfr(
+            cfr, num_subcarriers, bandwidth_hz, tx_power_dbm, noise_figure_db
         )
-        noise = np.sqrt(error_var / 2.0) * (
-            rng.standard_normal(cfr.shape) + 1j * rng.standard_normal(cfr.shape)
+    else:
+        normals = rng.standard_normal((2,) + cfr.shape)
+        estimated, snr_db = _estimate_from_normals(
+            cfr,
+            normals[0],
+            normals[1],
+            num_subcarriers,
+            bandwidth_hz,
+            tx_power_dbm,
+            noise_figure_db,
+            estimation_snr_penalty_db,
         )
-        estimated = cfr + noise
-        snr_linear = subcarrier_power_w * np.abs(estimated) ** 2 / noise_w
     return ChannelObservation(
         cfr=estimated,
-        snr_db=np.asarray(linear_to_db(snr_linear)),
+        snr_db=snr_db,
         tx_power_dbm=tx_power_dbm,
         noise_figure_db=noise_figure_db,
     )
+
+
+def _subcarrier_budget(
+    num_subcarriers: int,
+    bandwidth_hz: float,
+    tx_power_dbm: float,
+    noise_figure_db: float,
+) -> tuple[float, float]:
+    """Per-subcarrier transmit power and receiver noise power (W)."""
+    subcarrier_power_w = dbm_to_watts(tx_power_dbm) / num_subcarriers
+    subcarrier_bw = bandwidth_hz / num_subcarriers
+    return subcarrier_power_w, thermal_noise_power_w(subcarrier_bw, noise_figure_db)
+
+
+def _estimate_from_normals(
+    cfr: np.ndarray,
+    real_normals: np.ndarray,
+    imag_normals: np.ndarray,
+    num_subcarriers: int,
+    bandwidth_hz: float,
+    tx_power_dbm: float,
+    noise_figure_db: float,
+    estimation_snr_penalty_db: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSI estimate and its SNR (dB) from given standard-normal draws.
+
+    The estimation-error step of :func:`observe_cfr`, vectorized over any
+    leading batch dimensions of ``cfr`` (the normals share its shape).
+    """
+    subcarrier_power_w, noise_w = _subcarrier_budget(
+        num_subcarriers, bandwidth_hz, tx_power_dbm, noise_figure_db
+    )
+    error_var = noise_w / subcarrier_power_w * 10.0 ** (
+        estimation_snr_penalty_db / 10.0
+    )
+    estimated = cfr + np.sqrt(error_var / 2.0) * (real_normals + 1j * imag_normals)
+    snr_linear = subcarrier_power_w * np.abs(estimated) ** 2 / noise_w
+    return estimated, np.asarray(linear_to_db(snr_linear))
 
 
 def snr_db_from_cfr(
@@ -197,9 +242,9 @@ def snr_db_from_cfr(
     Vectorized over any leading batch dimensions — the whole-sweep form of
     the exact (``rng=None``) branch of :func:`observe_cfr`.
     """
-    subcarrier_power_w = dbm_to_watts(tx_power_dbm) / num_subcarriers
-    subcarrier_bw = bandwidth_hz / num_subcarriers
-    noise_w = thermal_noise_power_w(subcarrier_bw, noise_figure_db)
+    subcarrier_power_w, noise_w = _subcarrier_budget(
+        num_subcarriers, bandwidth_hz, tx_power_dbm, noise_figure_db
+    )
     snr_linear = subcarrier_power_w * np.abs(np.asarray(cfr)) ** 2 / noise_w
     return np.asarray(linear_to_db(snr_linear))
 

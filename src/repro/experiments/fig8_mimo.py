@@ -70,7 +70,9 @@ def run_fig8(
     For each configuration, ``measurements_per_config`` noisy channel-matrix
     estimates are averaged before computing per-subcarrier condition
     numbers, mirroring §3.2.3's "mean of 50 successive channel
-    measurements".
+    measurements".  Each configuration's measurements come from one
+    batched :meth:`~repro.sdr.testbed.Testbed.mimo_matrices` call, whose
+    draws match that many successive single measurements.
     """
     if measurements_per_config <= 0:
         raise ValueError(
@@ -84,17 +86,14 @@ def run_fig8(
     condition_rows = []
     labels = []
     for configuration in configurations:
-        accumulated = None
-        for _ in range(measurements_per_config):
-            h = setup.testbed.mimo_matrices(
-                setup.tx_device,
-                setup.rx_device,
-                configuration,
-                rng=rng,
-                estimation_error_std=estimation_error_std,
-            )
-            accumulated = h if accumulated is None else accumulated + h
-        mean_h = accumulated / measurements_per_config
+        mean_h = setup.testbed.mimo_matrices(
+            setup.tx_device,
+            setup.rx_device,
+            configuration,
+            rng=rng,
+            estimation_error_std=estimation_error_std,
+            repetitions=measurements_per_config,
+        ).mean(axis=0)
         condition_rows.append(condition_numbers_db(mean_h[mask]))
         labels.append(setup.array.describe(configuration))
     return Fig8Result(

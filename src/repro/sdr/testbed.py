@@ -27,7 +27,7 @@ from ..core.configuration import ArrayConfiguration
 from ..em.channel import (
     Channel,
     ChannelObservation,
-    observe_cfr,
+    _estimate_from_normals,
     snr_db_from_cfr,
 )
 from ..em.antennas import Antenna
@@ -62,20 +62,41 @@ def drift_factors(
 ) -> Optional[np.ndarray]:
     """Per-path complex drift factors for one measurement (or ``None``).
 
-    Draw order (one phase vector, then one amplitude vector) is the RNG
-    contract shared by :meth:`Testbed.channel` (and so
-    :meth:`Testbed.measure_csi`), the basis sweep and the MIMO matrices —
-    and by workers sweeping a shipped basis without a testbed — so
-    identically seeded generators produce identical measurements
-    everywhere.
+    Draws one block of ``2 * num_paths`` standard normals — the phase
+    draws, then the amplitude draws — and maps it through
+    :func:`_factors_from_normals`.  That layout is the RNG contract shared
+    by :meth:`Testbed.channel` (and so :meth:`Testbed.measure_csi`), the
+    basis sweep and the MIMO matrices — and by workers sweeping a shipped
+    basis without a testbed — so identically seeded generators produce
+    identical measurements everywhere.  No drift (or no ``rng``) draws
+    nothing.
     """
-    if rng is None or (drift_phase_rad == 0 and drift_amplitude == 0):
+    if rng is None or not _drifts(drift_phase_rad, drift_amplitude):
         return None
-    phases = rng.normal(scale=drift_phase_rad, size=num_paths)
-    scales = np.maximum(
-        1.0 + rng.normal(scale=drift_amplitude, size=num_paths), 0.0
+    normals = rng.standard_normal(2 * num_paths)
+    return _factors_from_normals(
+        normals[:num_paths], normals[num_paths:], drift_phase_rad, drift_amplitude
     )
-    return scales * np.exp(1j * phases)
+
+
+def _drifts(drift_phase_rad: float, drift_amplitude: float) -> bool:
+    return drift_phase_rad != 0 or drift_amplitude != 0
+
+
+def _factors_from_normals(
+    phase_normals: np.ndarray,
+    amplitude_normals: np.ndarray,
+    drift_phase_rad: float,
+    drift_amplitude: float,
+) -> np.ndarray:
+    """Complex drift factors from standard normals, batched over rows.
+
+    A phase of ``drift_phase_rad * z`` and a relative amplitude of
+    ``1 + drift_amplitude * z`` (clipped at zero) per path: exactly what
+    ``rng.normal(scale=...)`` draws would give.
+    """
+    scales = np.maximum(1.0 + drift_amplitude * amplitude_normals, 0.0)
+    return scales * np.exp(1j * (drift_phase_rad * phase_normals))
 
 
 def sweep_basis_snr(
@@ -91,13 +112,24 @@ def sweep_basis_snr(
 
     Takes the (picklable) basis and radio parameters directly: a worker
     process can sweep a basis traced by the parent without rebuilding
-    scene, tracer or testbed.  Drift/noise draws come in the order a loop
-    of :meth:`Testbed.measure_csi` calls would make them
-    (repetition-major, configuration-major), so seeds match that loop.
-    Returns shape ``(repetitions, configurations, subcarriers)``.
+    scene, tracer or testbed.  Returns shape
+    ``(repetitions, configurations, subcarriers)``.
+
+    Without an rng the whole sweep is one vectorized evaluation.  With
+    one, each repetition draws one ``(C, 2L + 2K)`` standard-normal block:
+    row ``c`` holds configuration ``c``'s measurement in the per-
+    measurement column layout (L drift phases, L drift amplitudes — only
+    when drift is on — then K noise real parts and K imaginary parts).
+    The drifted ambient CFRs are then one ``(C, L) @ (L, K)`` product and
+    the noise and SNR math runs on the whole ``(C, K)`` batch.  The draws
+    are those a loop of :meth:`Testbed.measure_csi` calls would make
+    (repetition-major, configuration-major), so seeds match that loop and
+    leave the generator in the same state.
     """
+    if repetitions <= 0:
+        raise ValueError(f"repetitions must be positive, got {repetitions}")
     element_sums = basis.all_element_sums  # (C, K)
-    num_configs = element_sums.shape[0]
+    num_configs, num_subcarriers = element_sums.shape
     if rng is None:
         cfr = basis.ambient_cfr() + element_sums
         snr_once = snr_db_from_cfr(
@@ -108,24 +140,31 @@ def sweep_basis_snr(
             noise_figure_db=noise_figure_db,
         )
         return np.broadcast_to(snr_once, (repetitions,) + snr_once.shape).copy()
-    snr = np.empty((repetitions, num_configs, basis.num_subcarriers))
+    drift = _drifts(drift_phase_rad, drift_amplitude)
+    num_paths = basis.num_ambient_paths if drift else 0
+    noise_at = 2 * num_paths
+    snr = np.empty((repetitions, num_configs, num_subcarriers))
     for rep in range(repetitions):
-        for index in range(num_configs):
-            factors = drift_factors(
-                basis.num_ambient_paths, rng, drift_phase_rad, drift_amplitude
+        normals = rng.standard_normal((num_configs, noise_at + 2 * num_subcarriers))
+        if drift:
+            factors = _factors_from_normals(
+                normals[:, :num_paths],
+                normals[:, num_paths:noise_at],
+                drift_phase_rad,
+                drift_amplitude,
             )
-            ambient = basis.ambient_cfr(
-                None if factors is None else basis.ambient_gains * factors
-            )
-            observation = observe_cfr(
-                ambient + element_sums[index],
-                basis.num_subcarriers,
-                basis.bandwidth_hz,
-                tx_power_dbm=tx_power_dbm,
-                noise_figure_db=noise_figure_db,
-                rng=rng,
-            )
-            snr[rep, index] = observation.snr_db
+            ambient = basis.ambient_cfr(basis.ambient_gains * factors)
+        else:
+            ambient = basis.ambient_cfr()
+        _, snr[rep] = _estimate_from_normals(
+            ambient + element_sums,
+            normals[:, noise_at : noise_at + num_subcarriers],
+            normals[:, noise_at + num_subcarriers :],
+            basis.num_subcarriers,
+            basis.bandwidth_hz,
+            tx_power_dbm,
+            noise_figure_db,
+        )
     return snr
 
 
@@ -233,23 +272,15 @@ class Testbed:
             self._configurations = tuple(self._space.all_configurations())
         return self._configurations
 
-    def _drift_factors(
-        self,
-        num_paths: int,
-        rng: Optional[np.random.Generator],
-    ) -> Optional[np.ndarray]:
-        """Per-path drift factors (see module-level :func:`drift_factors`)."""
-        return drift_factors(
-            num_paths, rng, self.drift_phase_rad, self.drift_amplitude
-        )
-
     def _drifted(
         self,
         paths: tuple[SignalPath, ...],
         rng: Optional[np.random.Generator],
     ) -> tuple[SignalPath, ...]:
         """One coherence-drifted realisation of the ambient paths."""
-        factors = self._drift_factors(len(paths), rng)
+        factors = drift_factors(
+            len(paths), rng, self.drift_phase_rad, self.drift_amplitude
+        )
         if factors is None:
             return paths
         return tuple(
@@ -493,12 +524,10 @@ class Testbed:
         gather + sum (see :func:`sweep_basis_snr`, which parallel figure
         runners also call against shipped bases).  Without an rng the
         whole sweep is one vectorized evaluation; with one, each
-        measurement draws its drift and noise in the order a loop of
-        :meth:`measure_csi` calls would, so identical seeds give that
-        loop's results to machine precision.
+        repetition draws one normal block for all configurations, laid out
+        as a loop of :meth:`measure_csi` calls would draw them, so
+        identical seeds give that loop's results to machine precision.
         """
-        if repetitions <= 0:
-            raise ValueError(f"repetitions must be positive, got {repetitions}")
         configurations = self.configurations
         with global_tracer().span(_SPAN_SWEEP):
             snr = sweep_basis_snr(
@@ -536,38 +565,71 @@ class Testbed:
         configuration: ArrayConfiguration,
         rng: Optional[np.random.Generator] = None,
         estimation_error_std: float = 0.0,
+        repetitions: Optional[int] = None,
     ) -> np.ndarray:
         """Per-subcarrier MIMO channel matrices for one configuration.
 
-        Returns shape (num_subcarriers, num_rx_chains, num_tx_chains).
-        ``estimation_error_std`` adds relative complex-Gaussian estimation
-        error per entry, standing in for the finite-SNR CSI estimates of
-        §3.2.3 (which averages 50 measurements per configuration).
+        Returns shape (num_subcarriers, num_rx_chains, num_tx_chains), or
+        (repetitions, num_subcarriers, num_rx_chains, num_tx_chains) when
+        ``repetitions`` is given: that many successive measurements, as
+        §3.2.3 averages 50 per configuration.  ``estimation_error_std``
+        adds relative complex-Gaussian estimation error per entry (scaled
+        by each measurement's RMS channel gain), standing in for finite-SNR
+        CSI estimates.
 
         Each chain pair reuses its precomputed channel basis (geometry
         traced once per pair, drift applied as a phasor scaling of the
-        ambient gain vector).  ``rng`` is drawn in the order per-pair
-        :meth:`channel` calls would draw it, then for the estimation error.
+        ambient gain vector).  One measurement's ``rng`` draws are standard
+        normals in a fixed column layout: each chain pair's drift (L_p
+        phases, then L_p amplitudes), rx-major, as per-pair
+        :meth:`channel` calls would draw them, then the estimation error's
+        real and imaginary parts in ``(K, rx, tx)`` order.  All
+        repetitions draw one ``(repetitions, width)`` block, so the result
+        and the generator's final state equal ``repetitions`` consecutive
+        single calls.
         """
+        if estimation_error_std > 0 and rng is None:
+            raise ValueError("estimation_error_std > 0 requires an rng")
+        if repetitions is not None and repetitions <= 0:
+            raise ValueError(f"repetitions must be positive, got {repetitions}")
+        count = 1 if repetitions is None else repetitions
         num_rx = rx_device.num_chains
         num_tx = tx_device.num_chains
-        h = np.zeros((self.num_subcarriers, num_rx, num_tx), dtype=complex)
-        for i in range(num_rx):
-            for j in range(num_tx):
-                basis = self.basis_for(tx_device, rx_device, j, i)
-                factors = self._drift_factors(basis.num_ambient_paths, rng)
-                h[:, i, j] = basis.cfr(
-                    configuration,
-                    ambient_gains=(
-                        None if factors is None else basis.ambient_gains * factors
-                    ),
+        shape = (self.num_subcarriers, num_rx, num_tx)
+        pairs = [
+            (i, j, self.basis_for(tx_device, rx_device, j, i))
+            for i in range(num_rx)
+            for j in range(num_tx)
+        ]
+        drift = rng is not None and _drifts(self.drift_phase_rad, self.drift_amplitude)
+        noise_at = 0
+        if drift:
+            noise_at = 2 * sum(basis.num_ambient_paths for _, _, basis in pairs)
+        noise_size = int(np.prod(shape)) if estimation_error_std > 0 else 0
+        if rng is not None:
+            normals = rng.standard_normal((count, noise_at + 2 * noise_size))
+        h = np.empty((count,) + shape, dtype=complex)
+        column = 0
+        for i, j, basis in pairs:
+            ambient_gains = None
+            if drift:
+                num_paths = basis.num_ambient_paths
+                factors = _factors_from_normals(
+                    normals[:, column : column + num_paths],
+                    normals[:, column + num_paths : column + 2 * num_paths],
+                    self.drift_phase_rad,
+                    self.drift_amplitude,
                 )
-        if estimation_error_std > 0:
-            if rng is None:
-                raise ValueError("estimation_error_std > 0 requires an rng")
-            scale = estimation_error_std * np.sqrt(np.mean(np.abs(h) ** 2))
-            noise = scale / np.sqrt(2.0) * (
-                rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+                ambient_gains = basis.ambient_gains * factors
+                column += 2 * num_paths
+            h[:, :, i, j] = basis.ambient_cfr(ambient_gains) + basis.element_sum(
+                configuration
             )
-            h = h + noise
-        return h
+        if noise_size:
+            real = normals[:, noise_at : noise_at + noise_size].reshape(h.shape)
+            imag = normals[:, noise_at + noise_size :].reshape(h.shape)
+            scale = estimation_error_std * np.sqrt(
+                np.mean(np.abs(h) ** 2, axis=(1, 2, 3))
+            )
+            h = h + (scale / np.sqrt(2.0))[:, None, None, None] * (real + 1j * imag)
+        return h[0] if repetitions is None else h

@@ -828,8 +828,6 @@ class EnvironmentService:
     def _run_sweep(
         self, session: ScenarioSession, request: SweepRequest
     ) -> SweepResult:
-        if request.repetitions <= 0:
-            raise ValueError("repetitions must be positive")
         rng = (
             None
             if request.seed is None

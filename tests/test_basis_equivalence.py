@@ -9,7 +9,8 @@ APIs: identical seeds must give identical sweeps and MIMO matrices (drift
 and estimation noise included) to within 1e-9, across LoS and NLoS
 scenes and across terminated and reflective element states, and the
 vectorized exhaustive search must return the same argmax as the
-measurement-backed one.
+measurement-backed one.  The batched sweep and MIMO draws must also
+leave the generator exactly where the per-measurement loop leaves it.
 """
 
 import numpy as np
@@ -75,29 +76,36 @@ def per_path_mimo(setup, configuration, rng, estimation_error_std):
 def test_sweep_modes_agree_with_drift_and_noise(builder):
     """Same seed: the basis sweep is the measured sweep (drift + noise)."""
     setup = builder(3)
-    oracle = measured_sweep(setup, 3, np.random.default_rng(7))
+    oracle_rng = np.random.default_rng(7)
+    oracle = measured_sweep(setup, 3, oracle_rng)
+    rng = np.random.default_rng(7)
     fast = setup.testbed.sweep(
         setup.tx_device,
         setup.rx_device,
         repetitions=3,
-        rng=np.random.default_rng(7),
+        rng=rng,
     )
     assert fast.configurations == setup.testbed.configurations
     np.testing.assert_allclose(fast.snr_db, oracle, rtol=0.0, atol=ATOL)
+    # The batched draws consume exactly the oracle loop's stream.
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_sweep_modes_agree_noise_only():
     """Drift disabled, estimation noise on: streams still line up."""
     config = StudyConfig(drift_phase_rad=0.0, drift_amplitude=0.0)
     setup = build_nlos_setup(1, config)
-    oracle = measured_sweep(setup, 2, np.random.default_rng(11))
+    oracle_rng = np.random.default_rng(11)
+    oracle = measured_sweep(setup, 2, oracle_rng)
+    rng = np.random.default_rng(11)
     fast = setup.testbed.sweep(
         setup.tx_device,
         setup.rx_device,
         repetitions=2,
-        rng=np.random.default_rng(11),
+        rng=rng,
     )
     np.testing.assert_allclose(fast.snr_db, oracle, rtol=0.0, atol=ATOL)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_sweep_modes_agree_exact():
@@ -175,17 +183,65 @@ def test_mimo_modes_agree():
     """Per-chain-pair basis MIMO matrices match the per-path oracle."""
     setup = build_mimo_setup(0)
     configuration = ArrayConfiguration(tuple([1] * setup.array.num_elements))
-    oracle = per_path_mimo(
-        setup, configuration, np.random.default_rng(13), estimation_error_std=0.05
-    )
+    oracle_rng = np.random.default_rng(13)
+    oracle = per_path_mimo(setup, configuration, oracle_rng, estimation_error_std=0.05)
+    rng = np.random.default_rng(13)
     fast = setup.testbed.mimo_matrices(
         setup.tx_device,
         setup.rx_device,
         configuration,
-        rng=np.random.default_rng(13),
+        rng=rng,
         estimation_error_std=0.05,
     )
     np.testing.assert_allclose(fast, oracle, rtol=0.0, atol=ATOL)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("drift", [True, False], ids=["drift", "no-drift"])
+@pytest.mark.parametrize("estimation_error_std", [0.0, 0.05])
+def test_mimo_repetitions_match_consecutive_calls(drift, estimation_error_std):
+    """One batched call == R single calls: same matrices, same final state."""
+    config = (
+        StudyConfig()
+        if drift
+        else StudyConfig(drift_phase_rad=0.0, drift_amplitude=0.0)
+    )
+    setup = build_mimo_setup(0, config)
+    configuration = ArrayConfiguration(tuple([2] * setup.array.num_elements))
+
+    def measure(rng, repetitions=None):
+        return setup.testbed.mimo_matrices(
+            setup.tx_device,
+            setup.rx_device,
+            configuration,
+            rng=rng,
+            estimation_error_std=estimation_error_std,
+            repetitions=repetitions,
+        )
+
+    single_rng = np.random.default_rng(21)
+    singles = np.array([measure(single_rng) for _ in range(4)])
+    batch_rng = np.random.default_rng(21)
+    batch = measure(batch_rng, repetitions=4)
+    assert batch.shape == (4, setup.testbed.num_subcarriers, 2, 2)
+    np.testing.assert_allclose(batch, singles, rtol=0.0, atol=1e-12)
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+    if drift or estimation_error_std > 0:
+        # Successive measurements differ: the block is not one row reused.
+        assert not np.allclose(batch[0], batch[1])
+
+
+def test_mimo_repetitions_validated():
+    setup = build_mimo_setup(0)
+    configuration = ArrayConfiguration(tuple([0] * setup.array.num_elements))
+    with pytest.raises(ValueError, match="repetitions must be positive"):
+        setup.testbed.mimo_matrices(
+            setup.tx_device,
+            setup.rx_device,
+            configuration,
+            rng=np.random.default_rng(0),
+            repetitions=0,
+        )
 
 
 def test_used_mask_rename_and_validation():

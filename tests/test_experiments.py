@@ -148,6 +148,23 @@ class TestFigureDrivers:
         assert result.median_gap_db > 0
         assert result.best_configuration != result.worst_configuration
 
+    def test_fig8_golden(self):
+        """Headline numbers pinned at the per-measurement implementation."""
+        result = run_fig8(measurements_per_config=5)
+        assert result.median_gap_db == pytest.approx(3.867531387399377, abs=1e-9)
+        assert result.best_configuration == 8
+        assert result.worst_configuration == 31
+
+    def test_fig4_golden(self):
+        """Headline numbers pinned at the per-measurement implementation."""
+        result = run_fig4(num_placements=2, repetitions=3)
+        assert result.largest_mean_change_db == pytest.approx(
+            18.305514798598693, abs=1e-9
+        )
+        assert result.largest_single_rep_change_db == pytest.approx(
+            31.086978726398257, abs=1e-9
+        )
+
     def test_los_study_shape_holds(self):
         result = run_los_study(repetitions=2)
         # The paper's core §3 finding: passive PRESS barely touches LoS

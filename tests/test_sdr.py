@@ -16,7 +16,7 @@ from repro.sdr.frontend import (
     apply_iq_imbalance,
     apply_phase_noise,
 )
-from repro.sdr.testbed import Testbed
+from repro.sdr.testbed import Testbed, sweep_basis_snr
 from repro.sdr.timesync import (
     Clock,
     SweepTiming,
@@ -157,6 +157,15 @@ class TestTestbed:
         assert sweep.num_repetitions == 2
         assert sweep.num_configurations == 16
         assert sweep.used_mask.sum() == 52
+
+    def test_sweep_rejects_non_positive_repetitions(self, testbed, devices):
+        tx, rx = devices
+        basis = testbed.basis_for(tx, rx)
+        for rng in (None, np.random.default_rng(0)):
+            with pytest.raises(ValueError, match="repetitions must be positive"):
+                sweep_basis_snr(basis, 0, rng, tx.tx_power_dbm, rx.noise_figure_db)
+        with pytest.raises(ValueError, match="repetitions must be positive"):
+            testbed.sweep(tx, rx, repetitions=0)
 
     def test_sweep_configuration_order(self, testbed, devices):
         tx, rx = devices

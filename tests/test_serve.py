@@ -285,6 +285,16 @@ def test_evaluate_request_requires_configurations():
     _run(drive())
 
 
+def test_sweep_request_requires_positive_repetitions():
+    async def drive():
+        async with EnvironmentService() as service:
+            client = ServiceClient(service)
+            with pytest.raises(ValueError, match="repetitions must be positive"):
+                await client.sweep(NLOS, repetitions=0)
+
+    _run(drive())
+
+
 # ---------------------------------------------------------------------------
 # Joint multi-link requests
 # ---------------------------------------------------------------------------

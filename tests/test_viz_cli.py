@@ -95,6 +95,17 @@ class TestCli:
         output = capsys.readouterr().out
         assert "wired bus" in output
 
+    @pytest.mark.parametrize(
+        "flag", ["--placements", "--repetitions", "--mimo-measurements"]
+    )
+    def test_figures_rejects_non_positive_counts(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figures", flag, "0"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer, got 0" in error
+        assert "Traceback" not in error
+
     def test_figures_command_small(self, capsys):
         code = main(
             [
