@@ -771,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_cmd_figures)
 
     coverage = sub.add_parser("coverage", help="dead-zone coverage maps")
-    coverage.add_argument("--placements", type=int, default=4)
+    coverage.add_argument("--placements", type=_positive_int, default=4)
     coverage.add_argument(
         "--jobs",
         type=int,
@@ -835,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated strategies (per-link, hybrid, joint)",
     )
     multi_user.add_argument(
-        "--elements", type=int, default=256, help="array element count"
+        "--elements", type=_positive_int, default=256, help="array element count"
     )
     multi_user.add_argument(
         "--searcher",
@@ -873,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     multi_user.set_defaults(func=_cmd_multi_user)
 
     timing = sub.add_parser("timing", help="control-plane latency budgets")
-    timing.add_argument("--elements", type=int, default=16)
+    timing.add_argument("--elements", type=_positive_int, default=16)
     timing.set_defaults(func=_cmd_timing)
 
     robustness = sub.add_parser(
@@ -895,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.5,6.0",
         help="comma-separated mobility speeds [mph]",
     )
-    robustness.add_argument("--rounds", type=int, default=3)
+    robustness.add_argument("--rounds", type=_positive_int, default=3)
     robustness.add_argument("--placement", type=int, default=2)
     robustness.add_argument(
         "--maintenance-interval",
@@ -1136,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-sweep", help="cProfile one Fig. 4 configuration sweep"
     )
     profile.add_argument("--placement", type=int, default=2)
-    profile.add_argument("--repetitions", type=int, default=10)
+    profile.add_argument("--repetitions", type=_positive_int, default=10)
     profile.add_argument(
         "--seed",
         type=int,

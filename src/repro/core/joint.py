@@ -25,9 +25,10 @@ Links come in two flavours.  :class:`LinkObjective` wraps an arbitrary
 matrices, ...).  :class:`BasisLink` wraps a precomputed
 :class:`~repro.core.basis.BasisEvaluator`; when every link is
 basis-backed and the searcher is delta-capable, the joint strategies run
-on a :class:`~repro.core.basis.MultiLinkDeltaEvaluator` — one cached
-element sum per link, O(K·L) per flip — so they scale to wall-sized
-arrays where the callback path's O(M^N) enumeration is impossible.
+on one :class:`~repro.core.basis.DeltaEvaluator` with a link axis — the
+links' state tensors stacked, one running element sum per link, O(L·K)
+per flip in one numpy operation — so they scale to wall-sized arrays
+where the callback path's O(M^N) enumeration is impossible.
 
 Joint scores are combined by a
 :data:`~repro.core.objectives.LinkAggregate` (weighted mean by default;
@@ -43,7 +44,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .basis import BasisEvaluator, MultiLinkDeltaEvaluator
+from .basis import BasisEvaluator, DeltaEvaluator
 from .configuration import ArrayConfiguration, ConfigurationSpace
 from .scheduler import SwitchingSchedule, TimingModel, packet_timescale_schedule
 from .search import Searcher, ExhaustiveSearch
@@ -297,17 +298,20 @@ def optimize_joint(
     search's own probes, never re-measured.
 
     When every link is a :class:`BasisLink` and the searcher is
-    delta-capable (``uses_delta``), the search runs on a
-    :class:`~repro.core.basis.MultiLinkDeltaEvaluator` — O(K·L) per flip,
-    independent of array size — so joint optimisation works on spaces far
-    past :data:`~repro.core.basis.MAX_ENUMERABLE_CONFIGS`.
+    delta-capable (``uses_delta``), the search runs on one
+    :class:`~repro.core.basis.DeltaEvaluator` over all the links: their
+    state tensors stacked on a link axis, so a flip costs O(L·K) and a
+    greedy element visit O(L·M·K), independent of array size, and joint
+    optimisation works on spaces far past
+    :data:`~repro.core.basis.MAX_ENUMERABLE_CONFIGS`.  The links must
+    share one subcarrier mask.
     """
     links = list(links)
     weights = _link_weights(links)
 
     if _all_basis_links(links) and searcher.uses_delta:
         _shared_space(links, space)
-        evaluator = MultiLinkDeltaEvaluator(
+        evaluator = DeltaEvaluator(
             [link.evaluator for link in links],
             weights=weights,
             aggregate=aggregate,

@@ -18,7 +18,7 @@ in :mod:`repro.core.search` can maximise them interchangeably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -47,20 +47,40 @@ __all__ = [
 ]
 
 
+def _reduce_rows(reduce: Callable[..., Any], snr_db: np.ndarray) -> Any:
+    """``reduce`` over the last (subcarrier) axis: a float for one SNR
+    vector, one value per row for a ``(..., K)`` block of candidates.
+
+    Reducing a contiguous block row-wise is bit-identical to reducing each
+    row on its own, so batched scorers may hand these objectives many
+    candidates in one call.
+    """
+    snr = np.asarray(snr_db, dtype=float)
+    if snr.ndim <= 1:
+        return float(reduce(snr))
+    return reduce(snr, axis=-1)
+
+
 @dataclass(frozen=True)
 class MinSnrObjective:
-    """Maximise the minimum per-subcarrier SNR (dB) — kill the deepest null."""
+    """Maximise the minimum per-subcarrier SNR (dB) — kill the deepest null.
 
-    def __call__(self, snr_db: np.ndarray) -> float:
-        return float(np.min(np.asarray(snr_db, dtype=float)))
+    Reduces over the last axis: a ``(..., K)`` block scores row-wise.
+    """
+
+    def __call__(self, snr_db: np.ndarray) -> Any:
+        return _reduce_rows(np.min, snr_db)
 
 
 @dataclass(frozen=True)
 class MeanSnrObjective:
-    """Maximise the mean per-subcarrier SNR (dB)."""
+    """Maximise the mean per-subcarrier SNR (dB).
 
-    def __call__(self, snr_db: np.ndarray) -> float:
-        return float(np.mean(np.asarray(snr_db, dtype=float)))
+    Reduces over the last axis: a ``(..., K)`` block scores row-wise.
+    """
+
+    def __call__(self, snr_db: np.ndarray) -> Any:
+        return _reduce_rows(np.mean, snr_db)
 
 
 @dataclass(frozen=True)
@@ -195,7 +215,9 @@ class TargetCfrObjective:
 #: Protocol of the joint multi-link scoring modes: an aggregate maps the
 #: per-link score vector (shape ``(L,)``) and the per-link weights (shape
 #: ``(L,)``, all positive) to one scalar, higher is better.  Used by
-#: :class:`repro.core.basis.MultiLinkDeltaEvaluator` and
+#: :class:`repro.core.basis.DeltaEvaluator` (once per scored state: a
+#: vectorised ``(M, L)`` form would not be bit-identical — ``w @ S`` and a
+#: per-column ``np.dot`` round differently) and
 #: :func:`repro.core.joint.optimize_joint`.
 LinkAggregate = Callable[[np.ndarray, np.ndarray], float]
 

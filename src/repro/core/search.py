@@ -99,8 +99,9 @@ class _ScoreProbe:
     non-held state of ``scores_for_element``) is one call of the
     memoising :class:`_CountingScore`, so ``run_delta`` searchers sound a
     measurement-backed channel exactly as they would a basis.  ``revert``
-    and ``commit`` are free; ``num_scores`` and ``trajectory`` are the
-    counter's.  Starts at (and scores) the all-zeros configuration.
+    and ``commit`` are free, and so is ``state`` (one element's working
+    state); ``num_scores`` and ``trajectory`` are the counter's.  Starts
+    at (and scores) the all-zeros configuration.
     """
 
     def __init__(self, space: ConfigurationSpace, score: _CountingScore) -> None:
@@ -118,6 +119,9 @@ class _ScoreProbe:
     @property
     def committed_configuration(self) -> ArrayConfiguration:
         return ArrayConfiguration(tuple(int(i) for i in self._committed_indices))
+
+    def state(self, element: int) -> int:
+        return int(self._indices[element])
 
     @property
     def num_scores(self) -> int:
@@ -333,10 +337,12 @@ class GreedyCoordinateDescent(Searcher):
     Against a channel basis (:meth:`Searcher.search_basis`) the sweep runs
     on a :class:`~repro.core.basis.DeltaEvaluator`: each element's M
     candidate states are scored in one vectorized batch from the running
-    element sum, so a full sweep costs O(N*M*K) total instead of
-    O(N^2*M*K) — per-candidate cost independent of array size.  Against a
-    callback score (:meth:`Searcher.search`) each candidate is one
-    memoised sounding.
+    element sums of all L links, and the held state is an O(1)
+    :meth:`~repro.core.basis.DeltaEvaluator.state` read, so an element
+    visit costs O(L*M*K) and no O(N) work — a full sweep is O(N*L*M*K)
+    instead of O(N^2*M*K).  The configuration tuple is built once per
+    restart, for the result.  Against a callback score
+    (:meth:`Searcher.search`) each candidate is one memoised sounding.
     """
 
     max_sweeps: int = 4
@@ -379,7 +385,7 @@ class GreedyCoordinateDescent(Searcher):
                 for element in range(space.num_elements):
                     scores = delta.scores_for_element(element)
                     candidate = int(np.argmax(scores))
-                    held = int(delta.configuration.indices[element])
+                    held = delta.state(element)
                     if candidate != held and scores[candidate] > current_score:
                         current_score = delta.flip(element, candidate)
                         delta.commit()

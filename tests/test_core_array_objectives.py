@@ -112,6 +112,18 @@ class TestObjectives:
         assert FlatnessObjective()(np.full(8, 5.0)) == 0.0
         assert FlatnessObjective()(snr) < 0.0
 
+    @pytest.mark.parametrize("objective", [MinSnrObjective(), MeanSnrObjective()])
+    @pytest.mark.parametrize("width", [52, 64])
+    def test_min_mean_score_blocks_row_wise_bit_identically(self, objective, width):
+        """A (R, K) block scores each row exactly as a per-row call does;
+        a 1-D SNR vector still scores to a float."""
+        rng = np.random.default_rng(width)
+        block = 30.0 * rng.standard_normal((257, width)) + 10.0
+        rows = objective(block)
+        assert rows.shape == (257,)
+        assert rows.tolist() == [objective(row) for row in block]
+        assert type(objective(block[0])) is float
+
     def test_effective_snr_between_min_and_mean(self):
         snr = np.array([0.0, 30.0, 30.0, 30.0])
         value = EffectiveSnrObjective()(snr)

@@ -106,6 +106,27 @@ class TestCli:
         assert f"argument {flag}: must be a positive integer, got 0" in error
         assert "Traceback" not in error
 
+    @pytest.mark.parametrize(
+        ("command", "flag"),
+        [
+            ("profile-sweep", "--repetitions"),
+            ("control-robustness", "--rounds"),
+            ("multi-user", "--elements"),
+            ("timing", "--elements"),
+            ("coverage", "--placements"),
+        ],
+    )
+    def test_count_flags_reject_zero(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "0"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert error.strip().splitlines()[-1] == (
+            f"repro {command}: error: argument {flag}: "
+            "must be a positive integer, got 0"
+        )
+        assert "Traceback" not in error
+
     def test_figures_command_small(self, capsys):
         code = main(
             [
